@@ -54,9 +54,10 @@ from repro.sim.engine import SimulationResult
 from repro.sim.state import TieredMemoryState
 from repro.sim.stats import StatsRegistry
 
-#: Bump when the payload layout changes; part of every cache key, so a
-#: format change can never misread an old on-disk entry.
-STORE_VERSION = 1
+#: Bump when the payload layout or the seeded simulation outputs change;
+#: part of every cache key, so an old on-disk entry is never misread or
+#: served in place of a re-baselined run (2: per-2MB-page profiles).
+STORE_VERSION = 2
 
 #: Policies a :class:`RunSpec` can name (validated eagerly, built lazily).
 POLICY_NAMES = ("thermostat", "all-dram", "kstaled", "oracle")

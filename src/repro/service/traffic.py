@@ -110,8 +110,11 @@ def generate_lines(config: TrafficConfig):
     decision_counter = 0
     line_index = 0
     while decision_counter < config.decisions:
-        tenant = f"tenant-{line_index % config.tenants}"
         if (line_index + 1) % EVENTS_PER_DECISION == 0:
+            # Decides go round-robin over tenants on their own counter:
+            # by line index they would land on one residue class, which
+            # for an even tenant count is a single tenant.
+            tenant = f"tenant-{decision_counter % config.tenants}"
             decision_counter += 1
             payload = {
                 "kind": "decide",
@@ -129,7 +132,7 @@ def generate_lines(config: TrafficConfig):
             count = int(rng.poisson(config.mean_accesses))
             payload = {
                 "kind": "access",
-                "tenant": tenant,
+                "tenant": f"tenant-{line_index % config.tenants}",
                 "page": page,
                 "count": count,
                 "priority": int(rng.integers(0, 3)),

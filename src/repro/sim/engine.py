@@ -323,19 +323,7 @@ class EpochSimulation:
                 self.state.grow(needed)
                 if wear is not None:
                     wear.grow(needed)
-            if profile is not None:
-                pass  # externally ingested epoch; no workload draw at all
-            elif self.config.profile_mode == "hierarchical" and self.config.stochastic:
-                # Vectorized hot path: one draw per 2MB page, exact subpage
-                # resolution only for the pages currently split for
-                # monitoring (the only subpage detail the policy reads).
-                profile = self.workload.epoch_profile_hierarchical(
-                    start,
-                    epoch,
-                    self._workload_rng,
-                    resolve_ids=np.flatnonzero(self.state.split),
-                )
-            else:
+            if profile is None:
                 profile = self.workload.epoch_profile(
                     start, epoch, self._workload_rng, stochastic=self.config.stochastic
                 )
@@ -344,6 +332,10 @@ class EpochSimulation:
                     f"workload produced {profile.num_huge_pages} huge pages "
                     f"but state tracks {self.state.num_huge_pages}"
                 )
+            # Exact subpage detail for the pages split for monitoring (the
+            # only subpage rows the policy reads), drawn before a filter or
+            # a fault view copies the profile.
+            profile.resolve(np.flatnonzero(self.state.split))
             if self.profile_filter is not None:
                 profile = self.profile_filter(profile, epoch_index)
                 if profile.num_huge_pages != self.state.num_huge_pages:

@@ -70,6 +70,9 @@ class EpochProfile:
         """
         return self.subpage_counts()[huge_page_ids]
 
+    def resolve(self, huge_page_ids: np.ndarray) -> None:
+        """No-op: a dense profile already holds every subpage count."""
+
     def huge_counts(self) -> np.ndarray:
         """Per-huge-page aggregate access counts (cached after first call).
 
@@ -100,19 +103,25 @@ class EpochProfile:
 class HierarchicalEpochProfile:
     """An epoch profile generated top-down instead of bottom-up.
 
-    The vectorized hot-path engine draws one Poisson total per *huge*
-    page and resolves exact subpage detail (a multinomial split of the
-    total, which by Poisson thinning is distributionally identical to
-    independent per-subpage draws) only for the pages whose subpages
-    anything will actually read — the ~5% split for monitoring this
-    interval.  Everything the engine and policy consume per epoch
-    (per-huge-page totals, the monitored pages' subpage counts) is exact;
-    only a legacy consumer that demands the *dense* 4KB array of an
-    unmonitored page sees an approximation (the page total spread
+    The workload draws one Poisson total per *huge* page; exact subpage
+    detail (a multinomial split of a page's total across its subpage
+    rate weights, which by Poisson thinning is distributionally identical
+    to independent per-subpage draws) is drawn only for the pages
+    something actually reads — the ~5% split for monitoring this
+    interval, resolved by :meth:`resolve` or on demand by
+    :meth:`subpage_rows`.  Everything the engine and policy consume per
+    epoch (per-huge-page totals, the monitored pages' subpage counts) is
+    exact; only a consumer that demands the *dense* 4KB array sees an
+    approximation for never-resolved pages (the page total spread
     deterministically across its subpages by rate weight).
 
+    Resolution draws from dedicated ``resolvers`` — ``(first, end, rng)``
+    page ranges, one per rendering workload — never from the stream that
+    drew the totals, so which pages a policy splits cannot shift any later
+    epoch's totals.
+
     Duck-types the :class:`EpochProfile` read API (``counts`` included,
-    via lazy materialization) so every existing consumer keeps working.
+    via lazy materialization) so every consumer keeps working.
     """
 
     def __init__(
@@ -120,10 +129,11 @@ class HierarchicalEpochProfile:
         start_time: float,
         duration: float,
         huge_totals: np.ndarray,
-        resolved_ids: np.ndarray,
-        resolved_rows: np.ndarray,
+        resolved_ids: np.ndarray | None = None,
+        resolved_rows: np.ndarray | None = None,
         spread_weights: np.ndarray | None = None,
         write_fraction: float = 0.1,
+        resolvers: list[tuple[int, int, np.random.Generator]] | None = None,
     ) -> None:
         if duration <= 0:
             raise WorkloadError(f"epoch duration must be positive: {duration}")
@@ -132,6 +142,10 @@ class HierarchicalEpochProfile:
                 f"write_fraction must be in [0, 1]: {write_fraction}"
             )
         huge_totals = np.asarray(huge_totals, dtype=np.int64)
+        if resolved_ids is None:
+            resolved_ids = np.empty(0, dtype=np.int64)
+        if resolved_rows is None:
+            resolved_rows = np.empty((0, SUBPAGES_PER_HUGE_PAGE), dtype=np.int64)
         resolved_ids = np.asarray(resolved_ids, dtype=np.int64)
         resolved_rows = np.asarray(resolved_rows, dtype=np.int64)
         if resolved_rows.shape != (resolved_ids.size, SUBPAGES_PER_HUGE_PAGE):
@@ -149,14 +163,54 @@ class HierarchicalEpochProfile:
         self.duration = duration
         self.write_fraction = write_fraction
         self._huge_totals = huge_totals
-        self._resolved_ids = resolved_ids
-        self._resolved_rows = resolved_rows
         self._spread_weights = spread_weights
-        #: Position of each resolved id, for O(1) row lookup.
-        self._resolved_pos: dict[int, int] = {
-            int(p): i for i, p in enumerate(resolved_ids)
-        }
+        self._resolvers = list(resolvers or ())
+        #: Row of each huge page in ``_rows``; -1 = not resolved yet.
+        self._pos = np.full(huge_totals.size, -1, dtype=np.int64)
+        self._pos[resolved_ids] = np.arange(resolved_ids.size)
+        self._rows = resolved_rows
         self._dense: np.ndarray | None = None
+
+    @classmethod
+    def concatenate(
+        cls, parts: list, write_fraction: float
+    ) -> HierarchicalEpochProfile:
+        """Stitch member profiles into one address space, in order.
+
+        Each part keeps its own resolvers (shifted to its page range), so
+        a member's subpage rows are drawn exactly as the member alone
+        would draw them.  Dense parts enter fully resolved.
+        """
+        totals, weights, ids, rows, resolvers = [], [], [], [], []
+        offset = 0
+        for part in parts:
+            if isinstance(part, cls):
+                part_ids = part.resolved_ids
+                part_rows = part._rows[part._pos[part_ids]]
+                part_weights = part._weights()
+                resolvers += [
+                    (lo + offset, hi + offset, rng)
+                    for lo, hi, rng in part._resolvers
+                ]
+            else:
+                part_rows = part.subpage_counts()
+                part_ids = np.arange(part.num_huge_pages)
+                part_weights = part_rows
+            totals.append(part.huge_counts())
+            weights.append(part_weights)
+            ids.append(part_ids + offset)
+            rows.append(part_rows)
+            offset += part.num_huge_pages
+        return cls(
+            start_time=parts[0].start_time,
+            duration=parts[0].duration,
+            huge_totals=np.concatenate(totals),
+            resolved_ids=np.concatenate(ids),
+            resolved_rows=np.concatenate(rows),
+            spread_weights=np.concatenate(weights),
+            write_fraction=write_fraction,
+            resolvers=resolvers,
+        )
 
     # -- EpochProfile read API -----------------------------------------
 
@@ -170,8 +224,8 @@ class HierarchicalEpochProfile:
 
     @property
     def resolved_ids(self) -> np.ndarray:
-        """Huge pages whose subpage rows carry exact draws."""
-        return self._resolved_ids
+        """Huge pages whose subpage rows carry exact draws (ascending)."""
+        return np.flatnonzero(self._pos >= 0)
 
     def huge_counts(self) -> np.ndarray:
         """Per-huge-page totals — exact by construction."""
@@ -183,22 +237,46 @@ class HierarchicalEpochProfile:
     def total_accesses(self) -> int:
         return int(self._huge_totals.sum())
 
+    def resolve(self, huge_page_ids: np.ndarray) -> None:
+        """Draw exact subpage rows for the pages not resolved yet.
+
+        Pages are resolved in ascending id order, each from the resolver
+        covering it; pages no resolver covers stay on the spread.
+        """
+        ids = np.unique(np.asarray(huge_page_ids, dtype=np.int64))
+        missing = ids[self._pos[ids] < 0]
+        if not missing.size:
+            return
+        weights = self._weights()
+        for lo, hi, rng in self._resolvers:
+            sel = missing[(missing >= lo) & (missing < hi)]
+            if not sel.size:
+                continue
+            w = weights[sel]
+            mass = w.sum(axis=1, keepdims=True)
+            pvals = np.where(
+                mass > 0,
+                w / np.where(mass > 0, mass, 1.0),
+                1.0 / SUBPAGES_PER_HUGE_PAGE,
+            )
+            drawn = rng.multinomial(self._huge_totals[sel], pvals)
+            self._pos[sel] = self._rows.shape[0] + np.arange(sel.size)
+            self._rows = np.concatenate([self._rows, drawn])
+            self._dense = None
+
     def subpage_rows(self, huge_page_ids: np.ndarray) -> np.ndarray:
         """Subpage counts for the requested pages.
 
-        Resolved pages return their exact multinomial rows; unresolved
-        pages fall back to the deterministic spread (and are only
-        correct in aggregate).
+        Resolves any page not resolved yet, so every page a resolver
+        covers returns an exact row; hand-built profiles without a
+        resolver fall back to the deterministic spread.
         """
         huge_page_ids = np.asarray(huge_page_ids, dtype=np.int64)
-        positions = np.array(
-            [self._resolved_pos.get(int(p), -1) for p in huge_page_ids],
-            dtype=np.int64,
-        )
+        self.resolve(huge_page_ids)
+        positions = self._pos[huge_page_ids]
         if np.all(positions >= 0):
-            return self._resolved_rows[positions]
-        dense = self._materialize()
-        return dense.reshape(-1, SUBPAGES_PER_HUGE_PAGE)[huge_page_ids]
+            return self._rows[positions]
+        return self.subpage_counts()[huge_page_ids]
 
     def subpage_counts(self) -> np.ndarray:
         return self._materialize().reshape(-1, SUBPAGES_PER_HUGE_PAGE)
@@ -211,32 +289,34 @@ class HierarchicalEpochProfile:
     def accessed_mask(self) -> np.ndarray:
         return self._materialize() > 0
 
+    def _weights(self) -> np.ndarray:
+        """Per-subpage spread weights, ``(num_huge_pages, 512)``."""
+        if self._spread_weights is None:
+            return np.ones((self.num_huge_pages, SUBPAGES_PER_HUGE_PAGE))
+        return np.asarray(self._spread_weights, dtype=float).reshape(
+            self.num_huge_pages, SUBPAGES_PER_HUGE_PAGE
+        )
+
     def _materialize(self) -> np.ndarray:
         """Build the dense array once: exact rows + weighted spread."""
         if self._dense is not None:
             return self._dense
         num_huge = self.num_huge_pages
         sub = SUBPAGES_PER_HUGE_PAGE
-        totals = self._huge_totals.astype(float)
-        if self._spread_weights is not None:
-            weights = np.asarray(self._spread_weights, dtype=float)
-            weights = weights.reshape(num_huge, sub)
-            row_mass = weights.sum(axis=1, keepdims=True)
-            safe = np.where(row_mass > 0, row_mass, 1.0)
-            fractions = weights / safe
-            # Rows with zero weight spread uniformly.
-            fractions = np.where(row_mass > 0, fractions, 1.0 / sub)
-        else:
-            fractions = np.full((num_huge, sub), 1.0 / sub)
-        scaled = fractions * totals[:, None]
+        weights = self._weights()
+        row_mass = weights.sum(axis=1, keepdims=True)
+        safe = np.where(row_mass > 0, row_mass, 1.0)
+        # Rows with zero weight spread uniformly.
+        fractions = np.where(row_mass > 0, weights / safe, 1.0 / sub)
+        scaled = fractions * self._huge_totals.astype(float)[:, None]
         dense = np.floor(scaled).astype(np.int64)
         remainder = self._huge_totals - dense.sum(axis=1)
         # Park the rounding remainder on each row's heaviest subpage —
         # deterministic and total-preserving.
         top = np.argmax(fractions, axis=1)
         dense[np.arange(num_huge), top] += remainder
-        if self._resolved_ids.size:
-            dense[self._resolved_ids] = self._resolved_rows
+        resolved = self.resolved_ids
+        dense[resolved] = self._rows[self._pos[resolved]]
         flat = dense.reshape(num_huge * sub)
         self._dense = flat
         return flat

@@ -2,8 +2,8 @@
 
 A workload owns a (possibly time-varying) per-4KB-page access-rate vector
 and renders it into per-epoch access counts, either deterministically (the
-expected counts, for tests) or stochastically (Poisson around the
-expectation, for experiments).
+expected counts, for tests) or stochastically (a Poisson total per 2MB page
+around the expectation, with subpage detail drawn only where it is read).
 
 Subclasses override :meth:`rates_at` (and optionally
 :meth:`num_huge_pages_at` for growing footprints); everything else — count
@@ -45,12 +45,13 @@ class Workload(abc.ABC):
     write_fraction:
         Fraction of memory accesses that are writes.
     burstiness:
-        Sigma of a per-page, per-epoch log-normal rate multiplier (mean 1).
-        Real request streams are bursty: a page's epoch-to-epoch traffic
-        fluctuates around its long-run rate.  Burstiness is what produces
-        genuine mis-classifications (a page measured during a lull looks
-        cold) and hence the correction traffic of Table 3 and the
-        slow-access-rate overshoots of Figure 3.  Zero disables it.
+        Sigma of a per-2MB-page, per-epoch log-normal rate multiplier
+        (mean 1).  Real request streams are bursty: a page's
+        epoch-to-epoch traffic fluctuates around its long-run rate.
+        Burstiness is what produces genuine mis-classifications (a page
+        measured during a lull looks cold) and hence the correction
+        traffic of Table 3 and the slow-access-rate overshoots of
+        Figure 3.  Zero disables it.
     duty_threshold / duty_floor:
         Per-*huge-page* duty cycling.  A 2MB page whose aggregate long-run
         rate is ``r`` is active in any given epoch with probability
@@ -152,11 +153,13 @@ class Workload(abc.ABC):
         traffic compressed into the active epochs).  Returns ``None`` when
         duty cycling is disabled.
         """
+        return self._duty(rates.reshape(-1, SUBPAGES_PER_HUGE_PAGE).sum(axis=1))
+
+    def _duty(self, huge_rates: np.ndarray) -> np.ndarray | None:
+        """:meth:`huge_page_duty` from already-summed 2MB-page rates."""
         if self.duty_threshold is None:
             return None
-        huge_rates = rates.reshape(-1, SUBPAGES_PER_HUGE_PAGE).sum(axis=1)
-        duty = huge_rates / self.duty_threshold
-        return np.clip(duty, self.duty_floor, 1.0)
+        return np.clip(huge_rates / self.duty_threshold, self.duty_floor, 1.0)
 
     def _advance_duty_state(
         self, duty: np.ndarray, rng: np.random.Generator
@@ -191,37 +194,24 @@ class Workload(abc.ABC):
         duration: float,
         rng: np.random.Generator,
         stochastic: bool = True,
-    ) -> EpochProfile:
-        """Render one epoch of accesses.
+    ) -> EpochProfile | HierarchicalEpochProfile:
+        """Render one epoch of accesses — the engine's single entry point.
 
-        With ``stochastic`` the per-page counts are Poisson draws around
-        ``rate * duration``; otherwise they are the rounded expectations.
+        With ``stochastic`` the epoch is drawn top-down by
+        :meth:`epoch_profile_hierarchical` (subpage rows resolve on
+        demand); otherwise the per-page counts are the rounded
+        expectations.  Workloads that render differently (trace replay,
+        composites) override this method.
         """
+        if stochastic:
+            return self.epoch_profile_hierarchical(start_time, duration, rng)
         if duration <= 0:
             raise WorkloadError(f"{self.name}: epoch duration must be positive")
         rates = np.asarray(self.rates_at(start_time), dtype=float)
-        expected = rates * duration
-        if stochastic:
-            duty = self.huge_page_duty(rates)
-            if duty is not None:
-                active = self._advance_duty_state(duty, rng)
-                factor = np.where(active, 1.0 / duty, 0.0)
-                expected = expected * np.repeat(factor, SUBPAGES_PER_HUGE_PAGE)
-            if self.burstiness > 0:
-                sigma = self.burstiness
-                # Mean-one log-normal multiplier: bursts and lulls.
-                factors = rng.lognormal(
-                    mean=-0.5 * sigma * sigma, sigma=sigma, size=expected.size
-                )
-                expected = expected * factors
-            # Poisson draws; numpy handles lam=0 fine (always 0).
-            counts = rng.poisson(expected)
-        else:
-            counts = np.rint(expected).astype(np.int64)
         return EpochProfile(
             start_time=start_time,
             duration=duration,
-            counts=counts.astype(np.int64),
+            counts=np.rint(rates * duration).astype(np.int64),
             write_fraction=self.write_fraction,
         )
 
@@ -230,25 +220,28 @@ class Workload(abc.ABC):
         start_time: float,
         duration: float,
         rng: np.random.Generator,
-        resolve_ids: np.ndarray | None = None,
-    ) -> "HierarchicalEpochProfile":
-        """Render one epoch top-down (the vectorized hot path).
+    ) -> HierarchicalEpochProfile:
+        """Draw one epoch top-down: a Poisson total per 2MB page.
 
         Instead of 4.5M per-subpage draws, draw one Poisson total per
         huge page — the sum of independent Poissons is Poisson of the
-        summed rate — and resolve exact subpage detail only for
-        ``resolve_ids`` (the pages split for monitoring this interval) by
-        multinomially thinning each page's total across its subpage
-        weights, which reproduces the per-subpage Poisson law exactly.
+        summed rate — around the page's duty-cycled, bursty expectation.
+        Exact subpage detail is resolved only for the pages something
+        reads (:meth:`HierarchicalEpochProfile.resolve`) by multinomially
+        thinning each page's total across its subpage rate weights, which
+        reproduces the per-subpage Poisson law exactly.
 
-        Two deliberate modeling deltas vs. :meth:`epoch_profile`, both
-        at 2MB granularity: the burstiness multiplier is drawn per huge
-        page (page-level bursts are what drive mis-classification; 512
-        independent subpage factors average out of the 2MB aggregate),
-        and unresolved pages carry no subpage-grain noise (nothing in the
-        epoch engine reads it).  Draw streams therefore differ from the
-        subpage path; the distribution equivalence is property-tested in
-        ``tests/property/test_prop_kernels.py``.
+        The burstiness multiplier is drawn per huge page: page-level
+        bursts are what drive mis-classification, and 512 independent
+        subpage factors would average out of the 2MB aggregate.  The
+        distribution equivalence with per-subpage draws is
+        property-tested in ``tests/property/test_prop_kernels.py``.
+
+        Exactly one extra draw from ``rng`` per epoch seeds the epoch's
+        resolution stream, so the multinomial draws — whose number
+        depends on which pages are resolved — never shift the totals of
+        later epochs (policies compared under one seed see the same
+        traffic).
         """
         if duration <= 0:
             raise WorkloadError(f"{self.name}: epoch duration must be positive")
@@ -256,38 +249,26 @@ class Workload(abc.ABC):
         view2d = rates.reshape(-1, SUBPAGES_PER_HUGE_PAGE)
         huge_rates = view2d.sum(axis=1)
         expected = huge_rates * duration
-        if self.duty_threshold is not None:
-            duty = np.clip(
-                huge_rates / self.duty_threshold, self.duty_floor, 1.0
-            )
+        duty = self._duty(huge_rates)
+        if duty is not None:
             active = self._advance_duty_state(duty, rng)
             expected = expected * np.where(active, 1.0 / duty, 0.0)
         if self.burstiness > 0:
             sigma = self.burstiness
+            # Mean-one log-normal multiplier: bursts and lulls.
             factors = rng.lognormal(
                 mean=-0.5 * sigma * sigma, sigma=sigma, size=expected.size
             )
             expected = expected * factors
         totals = rng.poisson(expected)
-        if resolve_ids is None:
-            resolve_ids = np.empty(0, dtype=np.int64)
-        resolve_ids = np.asarray(resolve_ids, dtype=np.int64)
-        if resolve_ids.size:
-            weights = view2d[resolve_ids]
-            mass = weights.sum(axis=1, keepdims=True)
-            safe = np.where(mass > 0, mass, 1.0)
-            pvals = np.where(mass > 0, weights / safe, 1.0 / SUBPAGES_PER_HUGE_PAGE)
-            rows = rng.multinomial(totals[resolve_ids], pvals)
-        else:
-            rows = np.empty((0, SUBPAGES_PER_HUGE_PAGE), dtype=np.int64)
+        resolver = np.random.default_rng(rng.integers(1 << 63))
         return HierarchicalEpochProfile(
             start_time=start_time,
             duration=duration,
             huge_totals=totals,
-            resolved_ids=resolve_ids,
-            resolved_rows=rows,
             spread_weights=view2d,
             write_fraction=self.write_fraction,
+            resolvers=[(0, totals.size, resolver)],
         )
 
     def total_access_rate(self, time: float = 0.0) -> float:

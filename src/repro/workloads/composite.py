@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.sim.profile import EpochProfile, HierarchicalEpochProfile
 from repro.units import SUBPAGES_PER_HUGE_PAGE
 from repro.workloads.base import Workload
 
@@ -95,13 +96,20 @@ class CompositeWorkload(Workload):
         return np.concatenate(segments)
 
     def epoch_profile(self, start_time, duration, rng, stochastic=True):
-        """Concatenate member profiles (preserving member duty/burst state)."""
+        """Render each member with its own duty/burst state, concatenated.
+
+        Every member keeps its own resolution stream over its page range,
+        so the pages split in one member resolve exactly as that member
+        alone would resolve them.
+        """
         profiles = [
             m.epoch_profile(start_time, duration, rng, stochastic=stochastic)
             for m in self.members
         ]
-        from repro.sim.profile import EpochProfile
-
+        if stochastic:
+            return HierarchicalEpochProfile.concatenate(
+                profiles, write_fraction=self.write_fraction
+            )
         return EpochProfile(
             start_time=start_time,
             duration=duration,

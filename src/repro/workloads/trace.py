@@ -99,13 +99,26 @@ def record_trace(
     stochastic: bool = True,
     start_time: float = 0.0,
 ) -> EpochTrace:
-    """Run a workload forward and capture its profiles."""
+    """Run a workload forward and capture its profiles.
+
+    Every page is resolved before recording: a replay must serve exact
+    subpage counts for whichever pages a later policy splits.
+    """
     if num_epochs <= 0:
         raise WorkloadError(f"num_epochs must be positive: {num_epochs}")
     trace = EpochTrace(workload_name=workload.name, epoch=epoch)
     time = start_time
     for _ in range(num_epochs):
-        trace.append(workload.epoch_profile(time, epoch, rng, stochastic=stochastic))
+        profile = workload.epoch_profile(time, epoch, rng, stochastic=stochastic)
+        profile.resolve(np.arange(profile.num_huge_pages))
+        trace.append(
+            EpochProfile(
+                start_time=profile.start_time,
+                duration=profile.duration,
+                counts=profile.counts,
+                write_fraction=profile.write_fraction,
+            )
+        )
         time += epoch
     return trace
 

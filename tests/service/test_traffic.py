@@ -31,6 +31,17 @@ class TestGenerator:
         assert first == second
         assert sum(1 for _, is_decide in first if is_decide) == 20
 
+    @pytest.mark.parametrize("tenants", [2, 4])
+    def test_decides_round_robin_over_tenants(self, tenants):
+        config = TrafficConfig(seed=2, tenants=tenants, decisions=4 * tenants)
+        targets = [
+            json.loads(line)["tenant"]
+            for line, is_decide in generate_lines(config)
+            if is_decide
+        ]
+        expected = [f"tenant-{i % tenants}" for i in range(4 * tenants)]
+        assert targets == expected
+
     def test_lines_parse(self):
         from repro.service.events import parse_event
 

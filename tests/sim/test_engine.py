@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.baselines import AllDramPolicy, StaticFractionPolicy
-from repro.config import SimulationConfig
+from repro.config import SimulationConfig, ThermostatConfig
+from repro.core.thermostat import ThermostatPolicy
 from repro.sim.engine import EpochSimulation, run_simulation
 from repro.units import SLOW_MEMORY_LATENCY, SUBPAGES_PER_HUGE_PAGE
 from repro.workloads.base import RateModelWorkload
@@ -131,6 +132,37 @@ class TestDeterminism:
         assert not np.array_equal(
             a.series("slow_access_rate").values, b.series("slow_access_rate").values
         )
+
+
+    def test_policies_see_common_random_numbers(self):
+        """Which pages a policy splits (and so resolves to subpage rows)
+        never moves the workload's draws: two policies under one seed see
+        the same per-huge-page totals every epoch."""
+
+        def observe(policy):
+            rates = np.random.default_rng(8).exponential(
+                0.3, size=64 * SUBPAGES_PER_HUGE_PAGE
+            )
+            workload = RateModelWorkload(
+                "crn", rates, burstiness=0.5, duty_threshold=100.0, duty_floor=0.2
+            )
+            engine = EpochSimulation(
+                workload, policy, SimulationConfig(duration=600, epoch=30, seed=3)
+            )
+            seen = []
+            engine.profile_filter = lambda p, i: (
+                seen.append((p.huge_counts().copy(), p.resolved_ids.size)) or p
+            )
+            engine.run()
+            return seen
+
+        thermostat = observe(ThermostatPolicy(ThermostatConfig(scan_interval=30.0)))
+        all_dram = observe(AllDramPolicy())
+        assert len(thermostat) == len(all_dram) == 20
+        assert sum(resolved for _, resolved in thermostat) > 0
+        assert all(resolved == 0 for _, resolved in all_dram)
+        for (ours, _), (theirs, _) in zip(thermostat, all_dram, strict=True):
+            assert np.array_equal(ours, theirs)
 
 
 class TestZeroEpochGuards:

@@ -147,13 +147,16 @@ class TestIngestedProfiles:
         # first steps on an ingested profile.  The ingested step must not
         # advance the workload RNG, so the *next* workload-drawn epochs
         # stay bit-identical between an engine that never ingested and a
-        # fresh engine stepping the same count of workload epochs.
+        # fresh engine stepping the same count of workload epochs.  The
+        # per-huge-page totals are what the workload stream draws; subpage
+        # rows come from a per-epoch resolution stream and follow the
+        # (here different) split sets.
         plain = make_engine()
         plain.start()
         plain.step()
         plain_profile_counts = []
         plain.profile_filter = lambda p, i: (
-            plain_profile_counts.append(p.counts.copy()) or p
+            plain_profile_counts.append(p.huge_counts().copy()) or p
         )
         plain.step()
 
@@ -163,7 +166,7 @@ class TestIngestedProfiles:
         mixed.step(profile=make_profile(mixed, mixed.state.num_huge_pages))
         mixed_profile_counts = []
         mixed.profile_filter = lambda p, i: (
-            mixed_profile_counts.append(p.counts.copy()) or p
+            mixed_profile_counts.append(p.huge_counts().copy()) or p
         )
         mixed.step()
 

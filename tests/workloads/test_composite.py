@@ -6,6 +6,7 @@ import pytest
 from repro.config import SimulationConfig
 from repro.core.thermostat import ThermostatPolicy
 from repro.errors import WorkloadError
+from repro.rng import make_rng
 from repro.sim.engine import run_simulation
 from repro.units import SUBPAGES_PER_HUGE_PAGE
 from repro.workloads.base import RateModelWorkload
@@ -102,3 +103,64 @@ class TestSharedBudget:
         assert duty is not None
         assert np.all(duty[:2] == pytest.approx(0.2))
         assert np.all(duty[2:] == 1.0)
+
+
+def make_bursty_member(name, num_huge, seed, duty_threshold=200.0):
+    rates = np.random.default_rng(seed).exponential(
+        0.5, size=num_huge * SUBPAGES_PER_HUGE_PAGE
+    )
+    return RateModelWorkload(
+        name,
+        rates,
+        burstiness=0.4,
+        duty_threshold=duty_threshold,
+        duty_floor=0.2,
+    )
+
+
+class TestMemberRendering:
+    """A composite renders each member with the member's own model."""
+
+    def test_one_member_composite_equals_member(self):
+        alone = make_bursty_member("m", 6, seed=1)
+        composite = CompositeWorkload("m", [make_bursty_member("m", 6, seed=1)])
+        rng_alone, rng_composite = make_rng(3), make_rng(3)
+        ids = np.array([0, 2, 5])
+        for epoch in range(5):
+            mine = alone.epoch_profile(30.0 * epoch, 30.0, rng_alone)
+            theirs = composite.epoch_profile(30.0 * epoch, 30.0, rng_composite)
+            assert np.array_equal(mine.huge_counts(), theirs.huge_counts())
+            assert np.array_equal(mine.subpage_rows(ids), theirs.subpage_rows(ids))
+
+        config = SimulationConfig(duration=300, epoch=30, seed=4)
+        solo = run_simulation(
+            make_bursty_member("m", 6, seed=1), ThermostatPolicy(), config
+        )
+        wrapped = run_simulation(
+            CompositeWorkload("m", [make_bursty_member("m", 6, seed=1)]),
+            ThermostatPolicy(),
+            config,
+        )
+        for name in ("slowdown", "cold_fraction", "slow_access_rate"):
+            assert np.array_equal(
+                solo.series(name).values, wrapped.series(name).values
+            )
+
+    def test_member_duty_off_pages_stay_idle(self):
+        composite = CompositeWorkload(
+            "pair",
+            [
+                make_bursty_member("a", 8, seed=2),
+                make_bursty_member("b", 8, seed=3, duty_threshold=500.0),
+            ],
+        )
+        rng = make_rng(5)
+        idle_pages = 0
+        for epoch in range(6):
+            totals = composite.epoch_profile(30.0 * epoch, 30.0, rng).huge_counts()
+            for index, member in enumerate(composite.members):
+                start, end = composite.member_range(index)
+                off = ~member._duty_on
+                assert np.all(totals[start:end][off] == 0)
+                idle_pages += int(off.sum())
+        assert idle_pages > 0

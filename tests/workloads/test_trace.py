@@ -28,6 +28,14 @@ class TestRecord:
         starts = [p.start_time for p in trace.profiles]
         assert starts == [0.0, 10.0, 20.0]
 
+    def test_records_exact_subpage_counts(self, rng):
+        # Mean 0.5 accesses per subpage: exact per-subpage counts are zero
+        # with probability e^-0.5 ~ 0.61, where a spread of the page total
+        # would leave nearly every subpage at zero.
+        workload = RateModelWorkload("t", np.full(8 * 512, 0.05))
+        counts = record_trace(workload, 2, 10.0, rng).profiles[1].counts
+        assert 0.55 < (counts == 0).mean() < 0.67
+
     def test_bad_epoch_count_rejected(self, rng):
         with pytest.raises(WorkloadError):
             record_trace(make_workload(), 0, 10.0, rng)
