@@ -56,8 +56,9 @@ from repro.sim.stats import StatsRegistry
 
 #: Bump when the payload layout or the seeded simulation outputs change;
 #: part of every cache key, so an old on-disk entry is never misread or
-#: served in place of a re-baselined run (2: per-2MB-page profiles).
-STORE_VERSION = 2
+#: served in place of a re-baselined run (2: per-2MB-page profiles; 3:
+#: fleet load factors scale unresolved pages' 2MB totals).
+STORE_VERSION = 3
 
 #: Policies a :class:`RunSpec` can name (validated eagerly, built lazily).
 POLICY_NAMES = ("thermostat", "all-dram", "kstaled", "oracle")

@@ -5,7 +5,7 @@ A chaos schedule is a list of :class:`ChaosEvent` windows; the
 exactly the knobs each kind names and restoring them afterwards:
 
 ``noisy-neighbor``
-    Multiplies the target tenant's ground-truth access counts by
+    Scales the target tenant's ground-truth 2MB access totals by
     ``magnitude`` for the window (through the engine's ``profile_filter``
     — no RNG consumed, so the workload stream is untouched).
 ``dram-shrink``

@@ -6,16 +6,15 @@ the host-side accounting the arbiter needs: its DRAM grant, its SLO
 bookkeeping (violation streaks and episodes), and its position on the
 graceful-degradation ladder.  Chaos interference and arbiter throttling
 reach the tenant through the engine's ``profile_filter`` hook — they scale
-the epoch's ground-truth access counts without consuming any RNG, so a
-chaos-free replay of the same seed is bit-identical.
+the epoch's ground-truth per-2MB access totals (and the subpage rows
+already resolved) without consuming any RNG, so a chaos-free replay of the
+same seed is bit-identical.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.config import SimulationConfig, ThermostatConfig
 from repro.core.thermostat import ThermostatPolicy
@@ -150,7 +149,7 @@ class Tenant:
         self.departed = False
         self.level = LadderLevel.HEALTHY
 
-        # Chaos / ladder load shaping (multiplies ground-truth access counts).
+        # Chaos / ladder load shaping (scales ground-truth 2MB access totals).
         self.interference_factor = 1.0
         self.throttle_factor = 1.0
 
@@ -203,13 +202,7 @@ class Tenant:
         factor = self.interference_factor * self.throttle_factor
         if factor == 1.0:
             return profile
-        counts = np.rint(profile.counts * factor).astype(np.int64)
-        return EpochProfile(
-            start_time=profile.start_time,
-            duration=profile.duration,
-            counts=counts,
-            write_fraction=profile.write_fraction,
-        )
+        return profile.scaled(factor)
 
     def start(self, injector=None) -> None:
         """Begin stepping (called at admission)."""

@@ -334,7 +334,7 @@ class EpochSimulation:
                 )
             # Exact subpage detail for the pages split for monitoring (the
             # only subpage rows the policy reads), drawn before a filter or
-            # a fault view copies the profile.
+            # a fault view derives a profile from it.
             profile.resolve(np.flatnonzero(self.state.split))
             if self.profile_filter is not None:
                 profile = self.profile_filter(profile, epoch_index)

@@ -17,7 +17,7 @@ import abc
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.sim.profile import EpochProfile, HierarchicalEpochProfile
+from repro.sim.profile import EpochProfile
 from repro.units import BASE_PAGE_SIZE, SUBPAGES_PER_HUGE_PAGE, bytes_to_pages
 
 
@@ -194,7 +194,7 @@ class Workload(abc.ABC):
         duration: float,
         rng: np.random.Generator,
         stochastic: bool = True,
-    ) -> EpochProfile | HierarchicalEpochProfile:
+    ) -> EpochProfile:
         """Render one epoch of accesses — the engine's single entry point.
 
         With ``stochastic`` the epoch is drawn top-down by
@@ -220,14 +220,14 @@ class Workload(abc.ABC):
         start_time: float,
         duration: float,
         rng: np.random.Generator,
-    ) -> HierarchicalEpochProfile:
+    ) -> EpochProfile:
         """Draw one epoch top-down: a Poisson total per 2MB page.
 
         Instead of 4.5M per-subpage draws, draw one Poisson total per
         huge page — the sum of independent Poissons is Poisson of the
         summed rate — around the page's duty-cycled, bursty expectation.
         Exact subpage detail is resolved only for the pages something
-        reads (:meth:`HierarchicalEpochProfile.resolve`) by multinomially
+        reads (:meth:`EpochProfile.resolve`) by multinomially
         thinning each page's total across its subpage rate weights, which
         reproduces the per-subpage Poisson law exactly.
 
@@ -262,13 +262,12 @@ class Workload(abc.ABC):
             expected = expected * factors
         totals = rng.poisson(expected)
         resolver = np.random.default_rng(rng.integers(1 << 63))
-        return HierarchicalEpochProfile(
+        return EpochProfile.from_totals(
             start_time=start_time,
             duration=duration,
             huge_totals=totals,
-            spread_weights=view2d,
+            resolvers=[(0, totals.size, resolver, view2d)],
             write_fraction=self.write_fraction,
-            resolvers=[(0, totals.size, resolver)],
         )
 
     def total_access_rate(self, time: float = 0.0) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.sim.profile import EpochProfile, HierarchicalEpochProfile
+from repro.sim.profile import EpochProfile
 from repro.units import SUBPAGES_PER_HUGE_PAGE
 from repro.workloads.base import Workload
 
@@ -72,29 +72,6 @@ class CompositeWorkload(Workload):
     def rates_at(self, time: float) -> np.ndarray:
         return np.concatenate([m.rates_at(time) for m in self.members])
 
-    def huge_page_duty(self, rates: np.ndarray) -> np.ndarray | None:
-        """Per-member duty models, stitched together.
-
-        Members with duty cycling disabled contribute all-ones segments;
-        if no member uses duty cycling, the composite disables it too.
-        """
-        if all(m.duty_threshold is None for m in self.members):
-            return None
-        segments = []
-        cursor = 0
-        for member in self.members:
-            pages = member.total_huge_pages
-            member_rates = rates[
-                cursor * SUBPAGES_PER_HUGE_PAGE : (cursor + pages)
-                * SUBPAGES_PER_HUGE_PAGE
-            ]
-            duty = member.huge_page_duty(member_rates)
-            if duty is None:
-                duty = np.ones(pages)
-            segments.append(duty)
-            cursor += pages
-        return np.concatenate(segments)
-
     def epoch_profile(self, start_time, duration, rng, stochastic=True):
         """Render each member with its own duty/burst state, concatenated.
 
@@ -106,16 +83,7 @@ class CompositeWorkload(Workload):
             m.epoch_profile(start_time, duration, rng, stochastic=stochastic)
             for m in self.members
         ]
-        if stochastic:
-            return HierarchicalEpochProfile.concatenate(
-                profiles, write_fraction=self.write_fraction
-            )
-        return EpochProfile(
-            start_time=start_time,
-            duration=duration,
-            counts=np.concatenate([p.counts for p in profiles]),
-            write_fraction=self.write_fraction,
-        )
+        return EpochProfile.concatenate(profiles, write_fraction=self.write_fraction)
 
     def member_cold_fractions(self, slow_mask: np.ndarray) -> dict[str, float]:
         """Per-tenant cold fraction from a final placement mask."""

@@ -111,14 +111,7 @@ def record_trace(
     for _ in range(num_epochs):
         profile = workload.epoch_profile(time, epoch, rng, stochastic=stochastic)
         profile.resolve(np.arange(profile.num_huge_pages))
-        trace.append(
-            EpochProfile(
-                start_time=profile.start_time,
-                duration=profile.duration,
-                counts=profile.counts,
-                write_fraction=profile.write_fraction,
-            )
-        )
+        trace.append(profile)
         time += epoch
     return trace
 

@@ -6,6 +6,8 @@ seeds reproduce fault schedules exactly, and no supported fault class
 escalates into an unhandled error.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,24 @@ class TestGracefulDegradation:
         # Rescued pages are promoted back, which shows up as extra
         # correction (promotion) traffic relative to the clean run.
         assert worn.correction_rate_mbps() > clean.correction_rate_mbps()
+
+
+class TestSampleLossView:
+    #: Series digest of this run when the policy's view was a zeroed dense
+    #: copy of the profile; the per-2MB view must reproduce it exactly.
+    DIGEST = "404c4fad64eab9c59062c4ab1c786c0ffad62c007f0e29872ffe7f3030fa6204"
+
+    def test_sample_loss_series_unchanged(self):
+        """Lost samples zero whole huge pages in the policy's view; the
+        policy reads only pages resolved before the view is taken, so the
+        run matches the one recorded with a dense zeroed copy."""
+        result = simulate(FaultConfig(enabled=True, sample_loss_rate=0.2))
+        digest = hashlib.sha256()
+        for name in ("slowdown", "cold_fraction", "slow_access_rate"):
+            digest.update(name.encode())
+            for value in result.series(name).values:
+                digest.update(f"{float(value):.12g},".encode())
+        for key, value in sorted(result.fault_summary().items()):
+            digest.update(f"{key}={float(value):.12g};".encode())
+        assert result.fault_summary()["lost_sample_pages"] > 0
+        assert digest.hexdigest() == self.DIGEST

@@ -73,10 +73,10 @@ class TestObserveProfile:
         observed, lost = injector.observe_profile(true_profile)
         assert 0 < lost.size < 64
         # The observation drops whole huge pages...
-        assert np.all(observed.subpage_counts()[lost] == 0)
+        assert np.all(observed.subpage_rows(lost) == 0)
         kept = np.setdiff1d(np.arange(64), lost)
         assert np.array_equal(
-            observed.subpage_counts()[kept], true_profile.subpage_counts()[kept]
+            observed.subpage_rows(kept), true_profile.subpage_rows(kept)
         )
         # ...while ground truth is untouched.
         assert float(true_profile.counts.sum()) == pytest.approx(

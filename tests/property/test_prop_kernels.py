@@ -9,9 +9,9 @@ Three contracts:
   changed no simulation output.
 * ``select_cold_pages`` returns its halves coldest-first (the ordering
   the demotion cap and backpressure truncation rely on).
-* :class:`HierarchicalEpochProfile` is exact everywhere the engine reads
-  it (totals, resolved subpage rows) and total-preserving where it
-  approximates (dense materialization).
+* A drawn :class:`EpochProfile` is exact everywhere it is read (totals,
+  resolved subpage rows, the dense ``counts``) and its rows always sum
+  to the totals.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core.classifier import select_cold_pages
 from repro.core.sampling import choose_poison_subpages, poison_scan_batch
 from repro.rng import make_rng
-from repro.sim.profile import HierarchicalEpochProfile
+from repro.sim.profile import EpochProfile
 from repro.units import SUBPAGES_PER_HUGE_PAGE
 
 
@@ -118,13 +118,13 @@ class TestHierarchicalProfile:
             weights[resolve_ids] / weights[resolve_ids].sum(1, keepdims=True),
         )
         return (
-            HierarchicalEpochProfile(
+            EpochProfile.from_totals(
                 start_time=0.0,
                 duration=30.0,
                 huge_totals=totals,
+                resolvers=[(0, num_huge, np.random.default_rng(seed + 1), weights)],
                 resolved_ids=resolve_ids,
                 resolved_rows=rows,
-                spread_weights=weights,
             ),
             totals,
             resolve_ids,
@@ -134,7 +134,7 @@ class TestHierarchicalProfile:
     def test_huge_counts_exact(self):
         profile, totals, _, _ = self._make()
         assert np.array_equal(profile.huge_counts(), totals)
-        assert profile.total_accesses() == totals.sum()
+        assert profile.huge_counts().sum() == totals.sum()
 
     def test_resolved_rows_exact(self):
         profile, _, resolve_ids, rows = self._make()
@@ -142,23 +142,24 @@ class TestHierarchicalProfile:
 
     def test_materialization_preserves_totals(self):
         profile, totals, _, _ = self._make()
-        dense = profile.subpage_counts()
+        dense = profile.counts.reshape(-1, SUBPAGES_PER_HUGE_PAGE)
         assert np.array_equal(dense.sum(axis=1), totals)
         assert np.all(dense >= 0)
 
     def test_materialized_resolved_rows_survive(self):
         profile, _, resolve_ids, rows = self._make()
-        dense = profile.subpage_counts()
+        dense = profile.counts.reshape(-1, SUBPAGES_PER_HUGE_PAGE)
         assert np.array_equal(dense[resolve_ids], rows)
 
     def test_row_sum_mismatch_rejected(self):
         from repro.errors import WorkloadError
 
         with pytest.raises(WorkloadError):
-            HierarchicalEpochProfile(
+            EpochProfile.from_totals(
                 start_time=0.0,
                 duration=30.0,
                 huge_totals=np.array([10]),
+                resolvers=[],
                 resolved_ids=np.array([0]),
                 resolved_rows=np.full((1, SUBPAGES_PER_HUGE_PAGE), 1),
             )

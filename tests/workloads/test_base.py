@@ -86,7 +86,7 @@ class TestBurstiness:
     def test_long_run_mean_preserved(self, rng):
         workload = make_workload(512 * 8, rate=5.0, burstiness=0.5)
         totals = [
-            workload.epoch_profile(0.0, 10.0, rng).total_accesses()
+            workload.epoch_profile(0.0, 10.0, rng).huge_counts().sum()
             for _ in range(30)
         ]
         expected = 512 * 8 * 5.0 * 10.0
@@ -126,7 +126,7 @@ class TestDutyCycle:
             512 * 8, rate=2.0, duty_threshold=4096.0, duty_floor=0.25
         )
         totals = [
-            workload.epoch_profile(0.0, 10.0, rng).total_accesses()
+            workload.epoch_profile(0.0, 10.0, rng).huge_counts().sum()
             for _ in range(200)
         ]
         expected = 512 * 8 * 2.0 * 10.0

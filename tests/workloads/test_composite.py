@@ -84,26 +84,6 @@ class TestSharedBudget:
         profile = composite.epoch_profile(0.0, 30.0, rng, stochastic=False)
         assert profile.num_huge_pages == 4
 
-    def test_duty_disabled_when_no_member_uses_it(self):
-        composite = CompositeWorkload(
-            "pair", [make_member("a", 2, 1.0), make_member("b", 2, 1.0)]
-        )
-        assert composite.huge_page_duty(composite.rates_at(0.0)) is None
-
-    def test_duty_stitched_per_member(self):
-        duty_member = RateModelWorkload(
-            "duty",
-            np.full(2 * 512, 1.0 / 512),
-            duty_threshold=100.0,
-            duty_floor=0.2,
-        )
-        plain = make_member("plain", 2, 1.0)
-        composite = CompositeWorkload("mix", [duty_member, plain])
-        duty = composite.huge_page_duty(composite.rates_at(0.0))
-        assert duty is not None
-        assert np.all(duty[:2] == pytest.approx(0.2))
-        assert np.all(duty[2:] == 1.0)
-
 
 def make_bursty_member(name, num_huge, seed, duty_threshold=200.0):
     rates = np.random.default_rng(seed).exponential(
