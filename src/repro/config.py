@@ -98,8 +98,8 @@ class ThermostatConfig:
 class FaultConfig:
     """Fault-injection knobs (all off by default).
 
-    Every fault model draws from its own seeded child stream of the
-    simulation RNG, so enabling one model never perturbs another and runs
+    Every fault class draws from its own seeded child stream of the
+    simulation RNG, so enabling one class never perturbs another and runs
     with the same seed produce identical fault schedules.
     """
 
@@ -178,17 +178,6 @@ class FaultConfig:
             raise ConfigError(
                 f"overhead_spike_seconds must be >= 0: {self.overhead_spike_seconds}"
             )
-
-    @property
-    def any_faults_possible(self) -> bool:
-        """True when the configuration can inject at least one fault."""
-        return self.enabled and (
-            self.migration_failure_rate > 0
-            or self.capacity_exhaustion_rate > 0
-            or self.ue_endurance_writes > 0
-            or self.overhead_spike_rate > 0
-            or self.sample_loss_rate > 0
-        )
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from repro.faults.service import ServiceFaultConfig
 from repro.ioutil import atomic_write_json
 from repro.metrics.report import format_table
 from repro.obs.live import ServiceTelemetry
+from repro.service.__main__ import CHAOS_FAULTS
 from repro.service.core import PlacementService, ServiceConfig
 from repro.service.traffic import TrafficConfig, drive
 
@@ -49,17 +50,6 @@ from repro.service.traffic import TrafficConfig, drive
 DEFAULT_DECISIONS = 150
 #: Tenants sending interleaved traffic.
 DEFAULT_SERVICE_TENANTS = 3
-
-#: The pinned chaos mix (mirrors ``python -m repro.service synth --chaos``).
-CHAOS_FAULTS = ServiceFaultConfig(
-    enabled=True,
-    slow_consumer_rate=0.05,
-    slow_consumer_stall_seconds=0.08,
-    slow_consumer_duration_ticks=4,
-    corrupt_event_rate=0.02,
-    clock_stall_rate=0.01,
-    clock_stall_seconds=0.5,
-)
 
 #: Runner-injected overrides (``--service-decisions``).
 _settings: dict = {"decisions": None}

@@ -1,8 +1,11 @@
-"""Seeded chaos scenarios composed from the fault models.
+"""Seeded chaos scenarios: the fleet's schedule of fault windows.
 
-A chaos schedule is a list of :class:`ChaosEvent` windows; the
-:class:`ChaosEngine` opens and closes them as fleet time passes, mutating
-exactly the knobs each kind names and restoring them afterwards:
+A chaos schedule is a :class:`~repro.faults.schedule.FaultSchedule` of
+windows (:class:`ChaosEvent` is :class:`~repro.faults.schedule.FaultWindow`)
+timed in fleet seconds.  Each fleet epoch the :class:`ChaosEngine` compares
+the windows the schedule reports open with those open at the last epoch
+and applies every opening or closing, mutating exactly the knobs each kind
+names and restoring them afterwards:
 
 ``noisy-neighbor``
     Scales the target tenant's ground-truth 2MB access totals by
@@ -12,9 +15,10 @@ exactly the knobs each kind names and restoring them afterwards:
     Shrinks the arbiter's host DRAM budget to ``1 - magnitude`` of the
     hardware size; the arbiter's ``enforce_budget`` reclaims grants to fit.
 ``migration-storm``
-    Raises every tenant's transient migration failure rate to
-    ``magnitude`` (their chaos injectors' :class:`MigrationFaultModel`),
-    modelling contention on the migration bandwidth.
+    Raises every matching tenant's transient migration failure rate to
+    ``magnitude``, modelling contention on the migration bandwidth.  The
+    tenants' injectors read the rate from the open window
+    (:meth:`ChaosEngine.migration_failure_rate`), so nothing is mutated.
 ``latency-spike``
     Multiplies the slow tier's access latency by ``magnitude`` on every
     tenant's topology.  The policies' *model* latency is unchanged, so
@@ -25,72 +29,38 @@ exactly the knobs each kind names and restoring them afterwards:
     ``magnitude`` for the window — a mid-run contract renegotiation.
 
 Windows are pure functions of the schedule and the clock — no randomness —
-so a replayed fleet run is bit-identical.  The per-tenant chaos injectors
-consume RNG only *inside* a migration-storm window (a
-:class:`MigrationFaultModel` at rate 0.0 draws nothing), keeping runs
-without storms identical to runs with no injector at all.
+so a replayed fleet run is bit-identical.  The per-tenant injectors
+consume RNG only *inside* a migration-storm window (a zero failure rate
+draws nothing), keeping runs without storms identical to runs with no
+injector at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import ConfigError
+from repro.faults.schedule import CHAOS_KINDS, FaultSchedule, FaultWindow
 from repro.fleet.tenant import quantize_down
 from repro.obs import NULL_OBSERVER
 
-CHAOS_KINDS = (
-    "noisy-neighbor",
-    "dram-shrink",
-    "migration-storm",
-    "latency-spike",
-    "tenant-resize",
-)
-
-
-@dataclass(frozen=True)
-class ChaosEvent:
-    """One timed interference window."""
-
-    kind: str
-    start: float
-    duration: float
-    #: Tenant name for tenant-scoped kinds; ``None`` = fleet-wide.
-    target: str | None = None
-    magnitude: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in CHAOS_KINDS:
-            raise ConfigError(
-                f"unknown chaos kind {self.kind!r} "
-                f"(choose from {', '.join(CHAOS_KINDS)})"
-            )
-        if self.start < 0:
-            raise ConfigError(f"chaos start must be >= 0: {self.start}")
-        if self.duration <= 0:
-            raise ConfigError(f"chaos duration must be positive: {self.duration}")
-        if self.magnitude <= 0:
-            raise ConfigError(f"chaos magnitude must be positive: {self.magnitude}")
-        if self.kind == "dram-shrink" and not self.magnitude < 1.0:
-            raise ConfigError(
-                f"dram-shrink magnitude is the *removed* fraction and must "
-                f"be < 1: {self.magnitude}"
-            )
-
-    @property
-    def end(self) -> float:
-        return self.start + self.duration
+#: One timed interference window (fleet seconds).
+ChaosEvent = FaultWindow
 
 
 class ChaosEngine:
     """Opens and closes chaos windows as the fleet clock advances."""
 
     def __init__(self, events, observer=None) -> None:
-        self.events: list[ChaosEvent] = sorted(
-            events, key=lambda e: (e.start, e.kind, e.target or "")
-        )
+        self.schedule = FaultSchedule(events)
+        for window in self.schedule.windows:
+            if window.kind not in CHAOS_KINDS:
+                raise ConfigError(
+                    f"unknown chaos kind {window.kind!r} "
+                    f"(choose from {', '.join(CHAOS_KINDS)})"
+                )
+        self.events = self.schedule.windows
         self.observer = observer if observer is not None else NULL_OBSERVER
-        self._open: set[int] = set()
+        #: Windows open as of the last :meth:`apply`, in schedule order.
+        self.open: tuple[FaultWindow, ...] = ()
 
     def apply(self, now: float, fleet) -> bool:
         """Open/close windows for fleet time ``now``.
@@ -98,15 +68,28 @@ class ChaosEngine:
         Returns True when the host DRAM budget changed (the caller must
         run the arbiter's ``enforce_budget`` before stepping tenants).
         """
+        obs = self.observer
+        active = self.schedule.active(now)
         budget_changed = False
-        for index, event in enumerate(self.events):
-            in_window = event.start <= now < event.end
-            if in_window and index not in self._open:
-                self._open.add(index)
-                budget_changed |= self._apply_event(event, fleet, now, opening=True)
-            elif not in_window and index in self._open and now >= event.end:
-                self._open.remove(index)
-                budget_changed |= self._apply_event(event, fleet, now, opening=False)
+        for window in self.events:
+            opening = window in active
+            if opening == (window in self.open):
+                continue
+            if obs.active:
+                obs.emit(
+                    "chaos",
+                    f"{window.kind}:{'open' if opening else 'close'}",
+                    now,
+                    target=window.target,
+                    magnitude=window.magnitude,
+                    window_start=window.start,
+                    window_end=window.end,
+                )
+                obs.inc("repro_chaos_transitions_total")
+            budget_changed |= self._transition(
+                window, self._targets(window, fleet), opening, fleet.arbiter
+            )
+        self.open = active
         return budget_changed
 
     def sync_tenant(self, tenant, now: float = 0.0) -> None:
@@ -114,82 +97,67 @@ class ChaosEngine:
 
         Admission can land inside an already-open window; the opening
         transition ran before the tenant was active, so its per-tenant
-        effects must be replayed for the newcomer.
+        effects are replayed for the newcomer.
         """
-        for index in sorted(self._open):
-            event = self.events[index]
-            if event.target is not None and event.target != tenant.spec.name:
-                continue
-            if event.kind == "noisy-neighbor":
-                tenant.interference_factor = event.magnitude
-            elif event.kind == "latency-spike":
-                tenant.engine.topology.slow.tier.spec.access_latency = (
-                    tenant.base_slow_latency * event.magnitude
-                )
-            elif event.kind == "tenant-resize":
-                tenant.slo_slowdown = tenant.spec.slo_slowdown * event.magnitude
-            # migration-storm scaling lives in the fleet's chaos_models
-            # dict, keyed by name — already covered for every tenant by
-            # the opening transition (models exist before admission).
+        for window in self.open:
+            if window.target in (None, tenant.spec.name):
+                self._transition(window, [tenant], opening=True)
 
-    def _apply_event(
-        self, event: ChaosEvent, fleet, now: float, opening: bool
-    ) -> bool:
-        obs = self.observer
-        if obs.active:
-            obs.emit(
-                "chaos",
-                f"{event.kind}:{'open' if opening else 'close'}",
-                now,
-                target=event.target,
-                magnitude=event.magnitude,
-                window_start=event.start,
-                window_end=event.end,
-            )
-            obs.inc("repro_chaos_transitions_total")
-        targets = self._targets(event, fleet)
-        if event.kind == "noisy-neighbor":
-            for tenant in targets:
-                tenant.interference_factor = event.magnitude if opening else 1.0
-        elif event.kind == "dram-shrink":
-            base = fleet.arbiter.base_host_dram_bytes
+    def migration_failure_rate(self, tenant_name: str) -> float:
+        """The tenant's transient migration failure rate right now.
+
+        The magnitude of the open migration-storm window covering the
+        tenant (the latest in schedule order), or 0.0 outside storms.
+        """
+        rate = 0.0
+        for window in self.open:
+            if window.kind == "migration-storm" and window.target in (None, tenant_name):
+                rate = window.magnitude
+        return rate
+
+    @staticmethod
+    def _transition(window: FaultWindow, tenants, opening: bool, arbiter=None) -> bool:
+        """Apply one window opening or closing; True when the budget changed.
+
+        ``arbiter`` is None when only the per-tenant effects are replayed
+        (the host-wide DRAM shrink is already in force).
+        """
+        kind, magnitude = window.kind, window.magnitude
+        if kind == "dram-shrink":
+            if arbiter is None:
+                return False
+            base = arbiter.base_host_dram_bytes
             # Quantize the shrunk budget so grant arithmetic downstream
             # stays in whole huge pages.
-            fleet.arbiter.host_dram_bytes = (
-                quantize_down(int(base * (1.0 - event.magnitude)))
-                if opening
-                else base
+            arbiter.host_dram_bytes = (
+                quantize_down(int(base * (1.0 - magnitude))) if opening else base
             )
             return True
-        elif event.kind == "migration-storm":
-            # Set every matching model, active or not: an inactive tenant
-            # draws nothing, and a tenant admitted mid-storm then starts
-            # with the storm already in force.
-            for name, model in sorted(fleet.chaos_models.items()):
-                if event.target is None or event.target == name:
-                    model.failure_rate = event.magnitude if opening else 0.0
-        elif event.kind == "latency-spike":
-            for tenant in targets:
-                spec = tenant.engine.topology.slow.tier.spec
-                spec.access_latency = (
-                    tenant.base_slow_latency * event.magnitude
+        # A migration storm sets nothing: tenant injectors read its rate
+        # from the open window (migration_failure_rate).
+        for tenant in tenants:
+            if kind == "noisy-neighbor":
+                tenant.interference_factor = magnitude if opening else 1.0
+            elif kind == "latency-spike":
+                tenant.engine.topology.slow.tier.spec.access_latency = (
+                    tenant.base_slow_latency * magnitude
                     if opening
                     else tenant.base_slow_latency
                 )
-        elif event.kind == "tenant-resize":
-            for tenant in targets:
+            elif kind == "tenant-resize":
                 tenant.slo_slowdown = (
-                    tenant.spec.slo_slowdown * event.magnitude
+                    tenant.spec.slo_slowdown * magnitude
                     if opening
                     else tenant.spec.slo_slowdown
                 )
         return False
 
-    def _targets(self, event: ChaosEvent, fleet) -> list:
+    @staticmethod
+    def _targets(window: FaultWindow, fleet) -> list:
         tenants = [t for t in fleet.tenants.values() if t.active]
-        if event.target is None:
+        if window.target is None:
             return sorted(tenants, key=lambda t: t.spec.name)
-        return [t for t in tenants if t.spec.name == event.target]
+        return [t for t in tenants if t.spec.name == window.target]
 
 
 # ----------------------------------------------------------------------

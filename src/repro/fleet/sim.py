@@ -14,11 +14,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.config import FaultConfig
 from repro.errors import ConfigError
 from repro.faults.injector import FaultInjector
-from repro.faults.models import MigrationFaultModel
 from repro.fleet.arbiter import Arbiter, ArbiterConfig
 from repro.fleet.chaos import ChaosEngine, ChaosEvent
 from repro.fleet.invariants import FleetInvariantAuditor
@@ -117,20 +117,20 @@ class FleetSimulation:
         self.arbiter = Arbiter(host_dram, self.config.arbiter, self.observer)
         self.chaos = ChaosEngine(chaos_events, self.observer)
         self.auditor = FleetInvariantAuditor(self.arbiter)
-        #: Per-tenant chaos fault models (migration-storm scaling);
-        #: each bound to its own named child stream so storms in one
-        #: tenant never shift another tenant's draws.
-        self.chaos_models: dict[str, MigrationFaultModel] = {}
-        self._injectors: dict[str, FaultInjector] = {}
+        #: Per-tenant injectors whose migration failure rate follows the
+        #: open migration-storm windows; each draws from its own named
+        #: child stream so storms in one tenant never shift another
+        #: tenant's draws.
         fleet_rng = make_rng(self.config.seed)
-        for name in sorted(self.tenants):
-            model = MigrationFaultModel(0.0)
-            self.chaos_models[name] = model
-            self._injectors[name] = FaultInjector(
+        self._injectors: dict[str, FaultInjector] = {
+            name: FaultInjector(
                 FaultConfig(),
                 child_rng(fleet_rng, f"chaos:faults:{name}"),
-                migration=model,
+                self.config.num_epochs,
+                migration_rate=partial(self.chaos.migration_failure_rate, name),
             )
+            for name in sorted(self.tenants)
+        }
         self._rejected: set[str] = set()
         self._violations_total = 0
         self._violations_with_response = 0

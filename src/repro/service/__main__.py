@@ -47,9 +47,9 @@ from repro.service.core import PlacementService, ServiceConfig
 from repro.service.traffic import TrafficConfig, drive
 from repro.service.wal import verify_log
 
-#: The pinned --chaos fault mix (also what the CI soak uses).
+#: The pinned --chaos fault mix (also what the CI soak and the ext-service
+#: experiment's chaos posture use).
 CHAOS_FAULTS = ServiceFaultConfig(
-    enabled=True,
     slow_consumer_rate=0.05,
     slow_consumer_stall_seconds=0.08,
     slow_consumer_duration_ticks=4,

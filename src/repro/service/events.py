@@ -21,7 +21,7 @@ Plus one control-plane kind:
 
 Parsing is strict: anything that is not a complete, well-formed event of
 a known kind raises :class:`~repro.errors.EventValidationError`.  The
-corrupt-event fault model (:mod:`repro.faults.models`) counts on this —
+corrupt-event fault (:mod:`repro.faults.service`) counts on this —
 truncated lines, NUL-struck bytes, and brace-swapped JSON must all be
 rejected here, never half-applied downstream.
 """

@@ -154,18 +154,20 @@ def drive(
     :class:`~repro.service.events.DecisionResponse` (the CLI streams them
     to stdout).
     """
-    injector = ServiceFaultInjector.from_config(
-        config.faults, make_rng(config.seed)
+    injector = ServiceFaultInjector(
+        config.faults,
+        make_rng(config.seed),
+        num_ticks=config.decisions * EVENTS_PER_DECISION,
     )
     injector.bind_telemetry(service.telemetry)
     report = TrafficReport()
     trips_before = service.breaker.trips_total
     now = 0.0
-    for line, is_decide in generate_lines(config):
+    for tick, (line, is_decide) in enumerate(generate_lines(config)):
         now += config.inter_arrival_seconds
         # Clock-stall fault: the observed clock freezes, so the service
         # sees the same ``now`` for a while and then a forward jump.
-        now += injector.clock_stall_seconds(now)
+        now += injector.clock_stall_seconds(tick, now)
         report.lines += 1
         sent, corrupted = injector.maybe_corrupt(line, now)
         if corrupted:
@@ -175,7 +177,7 @@ def drive(
             pass  # counted below from the queue's own ledger
         elif result.status in ("rejected", "quarantined-source"):
             report.rejected += 1
-        stall = injector.consumer_stall_seconds(now)
+        stall = injector.consumer_stall_seconds(tick, now)
         for response in service.drain(now, stall_seconds=stall):
             report.decisions += 1
             report.responses.append(response)

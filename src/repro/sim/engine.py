@@ -250,8 +250,8 @@ class EpochSimulation:
         """Prepare RNG streams, fault injection, and auditing for stepping.
 
         ``injector`` overrides the config-built fault injector (the fleet
-        layer passes one whose model rates its chaos schedule modulates
-        over time); when provided, the caller owns its RNG streams.
+        layer passes one whose migration failure rate follows its chaos
+        schedule); when provided, the caller owns its RNG streams.
         """
         if self._started:
             raise SimulationError("simulation already started")
@@ -271,12 +271,12 @@ class EpochSimulation:
         self._injector = injector
         self._wear = None
         if self._injector is None and self.config.faults.enabled:
-            self._injector = FaultInjector.from_config(
-                self.config.faults, child_rng(rng, "faults")
+            self._injector = FaultInjector(
+                self.config.faults, child_rng(rng, "faults"), self.config.num_epochs
             )
         if self._injector is not None:
             self.state.migration.injector = self._injector
-            if self._injector.wear is not None:
+            if self._injector.config.ue_endurance_writes > 0:
                 self._wear = WearTracker(max(self.state.num_huge_pages, 1))
         if self.audit:
             self.auditor = InvariantAuditor(self.state, self.clock, self.stats)
@@ -364,7 +364,7 @@ class EpochSimulation:
         events = None
         if injector is not None:
             with obs.phase("faults"):
-                events = injector.begin_epoch()
+                events = injector.begin_epoch(epoch_index)
                 self.state.demotion_locked = events.capacity_locked
                 fault_overhead += events.overhead_spike_seconds
                 observed_profile, lost = injector.observe_profile(profile)

@@ -1,4 +1,4 @@
-"""Tests for the FaultInjector facade: composition and determinism."""
+"""Tests for the FaultInjector: composition and determinism."""
 
 import numpy as np
 import pytest
@@ -15,47 +15,45 @@ def profile(num_huge=4, fill=3.0):
     return EpochProfile(start_time=0.0, duration=30.0, counts=counts)
 
 
+def make_injector(config, seed=0, num_epochs=20):
+    return FaultInjector(config, make_rng(seed), num_epochs)
+
+
 class TestFromConfig:
     def test_default_config_builds_no_models(self):
-        injector = FaultInjector.from_config(FaultConfig(), make_rng(0))
-        assert injector.migration is None
-        assert injector.capacity is None
-        assert injector.wear is None
-        assert injector.overhead is None
-        assert injector.samples is None
+        injector = make_injector(FaultConfig())
+        assert injector.schedule.windows == ()
+        assert injector.migration_rate() == 0.0
 
     def test_only_requested_models_built(self):
         config = FaultConfig(enabled=True, migration_failure_rate=0.2)
-        injector = FaultInjector.from_config(config, make_rng(0))
-        assert injector.migration is not None
-        assert injector.capacity is None
+        injector = make_injector(config)
+        assert injector.migration_rate() == 0.2
+        assert injector.schedule.windows == ()
 
     def test_all_models_built(self):
         config = FaultConfig(
             enabled=True,
             migration_failure_rate=0.2,
-            capacity_exhaustion_rate=0.1,
+            capacity_exhaustion_rate=0.5,
             ue_endurance_writes=100.0,
-            overhead_spike_rate=0.1,
-            sample_loss_rate=0.1,
+            ue_probability=1.0,
+            overhead_spike_rate=0.5,
+            sample_loss_rate=0.5,
         )
-        injector = FaultInjector.from_config(config, make_rng(0))
-        for model in (
-            injector.migration,
-            injector.capacity,
-            injector.wear,
-            injector.overhead,
-            injector.samples,
-        ):
-            assert model is not None
+        injector = make_injector(config)
+        assert {w.kind for w in injector.schedule.windows} == {"capacity", "overhead"}
+        assert injector.migration_rate() == 0.2
+        assert injector.sample_ue_pages(np.full(4, 200), np.arange(4)).size == 4
+        assert injector.observe_profile(profile(num_huge=64))[1].size > 0
 
 
 class TestNoOpHooks:
-    """With no models, every hook is inert and draws nothing."""
+    """With every rate at 0, every hook is inert and draws nothing."""
 
     def test_inert(self):
-        injector = FaultInjector.from_config(FaultConfig(), make_rng(0))
-        events = injector.begin_epoch()
+        injector = make_injector(FaultConfig())
+        events = injector.begin_epoch(0)
         assert events.count == 0
         assert not injector.should_fail_migration()
         true_profile = profile()
@@ -68,7 +66,7 @@ class TestNoOpHooks:
 class TestObserveProfile:
     def test_lost_pages_zeroed_in_observation_only(self):
         config = FaultConfig(enabled=True, sample_loss_rate=0.5)
-        injector = FaultInjector.from_config(config, make_rng(1))
+        injector = make_injector(config, seed=1)
         true_profile = profile(num_huge=64)
         observed, lost = injector.observe_profile(true_profile)
         assert 0 < lost.size < 64
@@ -93,8 +91,8 @@ class TestDeterminismAndDecorrelation:
                 capacity_exhaustion_rate=0.2,
                 overhead_spike_rate=0.2,
             )
-            injector = FaultInjector.from_config(config, make_rng(seed))
-            events = [injector.begin_epoch() for _ in range(20)]
+            injector = make_injector(config, seed=seed)
+            events = [injector.begin_epoch(e) for e in range(20)]
             fails = [injector.should_fail_migration() for _ in range(20)]
             return events, fails
 
@@ -109,7 +107,7 @@ class TestDeterminismAndDecorrelation:
             config = FaultConfig(
                 enabled=True, capacity_exhaustion_rate=0.25, **extra
             )
-            injector = FaultInjector.from_config(config, make_rng(5))
-            return [injector.begin_epoch().capacity_locked for _ in range(40)]
+            injector = make_injector(config, seed=5, num_epochs=40)
+            return [injector.begin_epoch(e).capacity_locked for e in range(40)]
 
         assert capacity_schedule() == capacity_schedule(sample_loss_rate=0.5)

@@ -27,14 +27,20 @@ def make_fleet(events=(), names=("a", "b")):
 
 class TestEvent:
     def test_validation(self):
-        with pytest.raises(ConfigError, match="unknown chaos kind"):
+        with pytest.raises(ConfigError, match="unknown fault kind"):
             ChaosEvent("meteor-strike", 0.0, 10.0)
+        with pytest.raises(ConfigError, match="positive"):
+            ChaosEvent("latency-spike", 0.0, 10.0, magnitude=0.0)
         with pytest.raises(ConfigError):
             ChaosEvent("noisy-neighbor", -1.0, 10.0)
         with pytest.raises(ConfigError):
             ChaosEvent("noisy-neighbor", 0.0, 0.0)
         with pytest.raises(ConfigError, match="removed"):
             ChaosEvent("dram-shrink", 0.0, 10.0, magnitude=1.0)
+
+    def test_engine_accepts_only_chaos_kinds(self):
+        with pytest.raises(ConfigError, match="unknown chaos kind"):
+            ChaosEngine([ChaosEvent("capacity", 0.0, 1.0)])
 
     def test_end(self):
         event = ChaosEvent("latency-spike", 30.0, 60.0, magnitude=2.0)
@@ -68,16 +74,22 @@ class TestWindows:
         assert fleet.arbiter.host_dram_bytes == base
 
     def test_migration_storm_scales_all_models(self):
+        """Every tenant's injector reads the open storm's rate, admitted or
+        not, and falls back to 0 when the window closes."""
         event = ChaosEvent("migration-storm", 0.0, 30.0, magnitude=0.7)
         fleet = make_fleet([event])
+        injectors = fleet._injectors.values()
         fleet.chaos.apply(0.0, fleet)
-        assert all(
-            m.failure_rate == 0.7 for m in fleet.chaos_models.values()
-        )
+        assert all(i.migration_rate() == 0.7 for i in injectors)
         fleet.chaos.apply(30.0, fleet)
-        assert all(
-            m.failure_rate == 0.0 for m in fleet.chaos_models.values()
-        )
+        assert all(i.migration_rate() == 0.0 for i in injectors)
+
+    def test_targeted_storm_covers_only_its_tenant(self):
+        event = ChaosEvent("migration-storm", 0.0, 30.0, target="b", magnitude=0.5)
+        fleet = make_fleet([event])
+        fleet.chaos.apply(0.0, fleet)
+        assert fleet.chaos.migration_failure_rate("a") == 0.0
+        assert fleet.chaos.migration_failure_rate("b") == 0.5
 
     def test_latency_spike_restores_base_latency(self):
         event = ChaosEvent("latency-spike", 0.0, 30.0, magnitude=4.0)
@@ -98,6 +110,21 @@ class TestWindows:
         assert tenant.interference_factor == 1.0
         fleet.chaos.sync_tenant(tenant, 0.0)
         assert tenant.interference_factor == 2.0
+
+    def test_sync_tenant_leaves_budget_and_other_targets_alone(self):
+        events = [
+            ChaosEvent("dram-shrink", 0.0, 60.0, magnitude=0.5),
+            ChaosEvent("tenant-resize", 0.0, 60.0, target="b", magnitude=0.5),
+        ]
+        fleet = make_fleet(events)
+        fleet.chaos.apply(0.0, fleet)
+        shrunk = fleet.arbiter.host_dram_bytes
+        tenant = fleet.tenants["a"]
+        fleet.chaos.sync_tenant(tenant, 0.0)
+        assert fleet.arbiter.host_dram_bytes == shrunk
+        assert tenant.slo_slowdown == tenant.spec.slo_slowdown
+        fleet.chaos.sync_tenant(fleet.tenants["b"], 0.0)
+        assert fleet.tenants["b"].slo_slowdown == 0.5 * fleet.tenants["b"].spec.slo_slowdown
 
 
 class TestScenarios:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import EventValidationError
-from repro.faults.models import CorruptEventFaultModel
+from repro.faults.service import ServiceFaultConfig, ServiceFaultInjector
 from repro.rng import make_rng
 from repro.service.events import (
     AccessEvent,
@@ -121,10 +121,11 @@ class TestGarbageRejection:
 
     def test_every_fault_model_corruption_is_rejected(self):
         """The corrupt-event fault shapes must never half-parse."""
-        model = CorruptEventFaultModel(1.0)
-        model.bind(make_rng(0))
+        faults = ServiceFaultInjector(
+            ServiceFaultConfig(corrupt_event_rate=1.0), make_rng(0), 0
+        )
         clean = _line(kind="access", tenant="t0", page=3, count=10)
         for _ in range(200):
-            mangled = model.corrupt_payload(clean)
+            mangled, _ = faults.maybe_corrupt(clean)
             with pytest.raises(EventValidationError):
                 parse_event(mangled)

@@ -15,7 +15,6 @@ from repro.service.traffic import TrafficConfig, drive, generate_lines
 from repro.service.wal import scan_log, verify_log
 
 CHAOS = ServiceFaultConfig(
-    enabled=True,
     slow_consumer_rate=0.05,
     slow_consumer_stall_seconds=0.08,
     corrupt_event_rate=0.02,

@@ -13,7 +13,6 @@ import pytest
 from repro.config import FaultConfig, SimulationConfig, ThermostatConfig
 from repro.core.thermostat import ThermostatPolicy
 from repro.faults.injector import FaultInjector
-from repro.faults.models import MigrationFaultModel
 from repro.mem.numa import NumaTopology
 from repro.rng import make_rng
 from repro.sim.clock import VirtualClock
@@ -68,7 +67,7 @@ class TestRetryExhaustedOrdering:
         state.migration.injector = FaultInjector(
             FaultConfig(enabled=True, migration_failure_rate=0.999),
             make_rng(seed),
-            migration=MigrationFaultModel(0.999),
+            num_epochs=0,
         )
         return state
 
